@@ -1,10 +1,14 @@
 //! Distance-kernel microbenchmarks at the paper's two embedding
-//! dimensionalities (768 and 1536). These kernels are the unit of the
-//! engine's [`sann_engine::CostModel`]; the measured numbers justify its
-//! `dist_us_per_dim` default.
+//! dimensionalities (768 and 1536), plus the dimension-major batch kernel
+//! at the PQ distance-table shape (256 centroids × 8-d sub-vectors).
+//!
+//! These kernels are what the engine's [`sann_engine::CostModel`] prices,
+//! but its `dist_us_per_dim` default is a modeled AVX2-class server figure,
+//! not a measurement of this host: compare the numbers here with it to see
+//! how far the model sits from the kernels it stands for.
 
 use sann_bench::microbench::{black_box, criterion_group, criterion_main, Criterion};
-use sann_core::distance::{cosine_distance, dot, l2_squared};
+use sann_core::distance::{cosine_distance, dot, l2_squared, l2_squared_columns};
 use sann_core::rng::SplitMix64;
 
 fn random_vec(dim: usize, seed: u64) -> Vec<f32> {
@@ -51,12 +55,27 @@ fn bench_batch_scan(c: &mut Criterion) {
     });
 }
 
+fn bench_columns(c: &mut Criterion) {
+    // One PQ distance-table row: a query sub-vector against 256 centroids
+    // of 8 dimensions, stored dimension-major.
+    let (k, dim) = (256, 8);
+    let cols = random_vec(k * dim, 5);
+    let v = random_vec(dim, 6);
+    let (mut out, mut lanes) = (vec![0.0f32; k], vec![0.0f32; 4 * k]);
+    c.bench_function("distance/l2_squared_columns/256x8", |bencher| {
+        bencher.iter(|| {
+            l2_squared_columns(black_box(&v), black_box(&cols), k, &mut out, &mut lanes);
+            out[0]
+        })
+    });
+}
+
 criterion_group!(
     name = benches;
     config = Criterion::default()
         .sample_size(10)
         .warm_up_time(std::time::Duration::from_millis(300))
         .measurement_time(std::time::Duration::from_secs(2));
-    targets = bench_kernels, bench_batch_scan
+    targets = bench_kernels, bench_batch_scan, bench_columns
 );
 criterion_main!(benches);

@@ -42,6 +42,22 @@ pub fn u32_from_usize(x: usize) -> u32 {
     x as u32
 }
 
+/// Narrows a `usize` to `u8` for values bounded by construction (PQ
+/// centroid ids, below `ksub <= 256`).
+///
+/// Debug builds assert the value fits; release builds keep the exact `as`
+/// truncation semantics of the open-coded cast this replaces.
+#[inline]
+#[must_use]
+pub fn u8_from_usize(x: usize) -> u8 {
+    debug_assert!(
+        u8::try_from(x).is_ok(),
+        "value {x} does not fit in u8; the caller's bound is wrong"
+    );
+    // sann-lint: allow(cast-truncation) -- bound asserted above; `as` keeps release semantics
+    x as u8
+}
+
 /// Narrows a `u64` to `u32` for values bounded by construction (sector
 /// sizes, request lengths capped at `MAX_REQUEST_BYTES`).
 ///
@@ -110,6 +126,7 @@ mod tests {
 
     #[test]
     fn narrowing_in_bounds() {
+        assert_eq!(u8_from_usize(255), 255);
         assert_eq!(u32_from_usize(4096), 4096);
         assert_eq!(u32_from_usize(u32::MAX as usize), u32::MAX);
     }

@@ -22,7 +22,11 @@ pub struct CostModel {
 impl Default for CostModel {
     fn default() -> Self {
         CostModel {
-            // ~0.19 µs per 768-d L2 distance (AVX2-class throughput).
+            // ~0.19 µs per 768-d L2 distance (AVX2-class throughput). A
+            // modeled figure, kept fixed because it drives every simulated
+            // metric. For scale, `sann_core::distance::l2_squared` measures
+            // 0.12–0.15 µs at 768-d on a 2-vCPU Xeon VM built for the default
+            // x86-64 target (`cargo bench --bench distance`).
             dist_us_per_dim: 0.00025,
             // ~0.1 µs per 48-byte PQ code.
             pq_us_per_byte: 0.002,

@@ -10,9 +10,9 @@
 //! * neighbor selection by the pruning heuristic (Algorithm 4 of the paper),
 //! * degree caps `M` on upper layers and `2M` on layer 0.
 //!
-//! Builds are parallel (scoped threads + per-node locks, the hnswlib
-//! approach); set [`HnswConfig::threads`] to 1 for a fully deterministic
-//! graph.
+//! Builds are single-threaded and deterministic by default; raising
+//! [`HnswConfig::threads`] inserts in parallel (scoped threads + per-node
+//! locks, the hnswlib approach) at the cost of a schedule-dependent graph.
 
 use crate::trace::{QueryTrace, SearchOutput};
 use crate::{par, SearchParams, VectorIndex};
@@ -30,7 +30,10 @@ pub struct HnswConfig {
     pub ef_construction: usize,
     /// RNG seed for level assignment.
     pub seed: u64,
-    /// Build threads; 0 means all cores, 1 means deterministic.
+    /// Build threads (default 1). One thread builds a deterministic graph:
+    /// identically seeded builds are byte-identical. Any other value (0
+    /// means all cores) inserts concurrently, and the graph then depends on
+    /// the thread schedule.
     pub threads: usize,
 }
 
@@ -41,7 +44,7 @@ impl Default for HnswConfig {
             m: 16,
             ef_construction: 200,
             seed: 0x45_4653,
-            threads: 0,
+            threads: 1,
         }
     }
 }

@@ -25,7 +25,10 @@ pub struct VamanaConfig {
     pub alpha: f32,
     /// RNG seed for the initial random graph and insertion order.
     pub seed: u64,
-    /// Build threads; 0 means all cores, 1 means deterministic.
+    /// Build threads (default 1). One thread builds a deterministic graph:
+    /// identically seeded builds are byte-identical. Any other value (0
+    /// means all cores) inserts concurrently, and the graph then depends on
+    /// the thread schedule.
     pub threads: usize,
 }
 
@@ -36,7 +39,7 @@ impl Default for VamanaConfig {
             l_build: 100,
             alpha: 1.2,
             seed: 0xD15C,
-            threads: 0,
+            threads: 1,
         }
     }
 }
@@ -447,8 +450,10 @@ mod tests {
 
     #[test]
     fn degree_bound_holds() {
+        // All cores: the bound must hold for concurrent builds too.
         let config = VamanaConfig {
             r: 24,
+            threads: 0,
             ..VamanaConfig::default()
         };
         let (_, _, _, graph) = build_small(config);

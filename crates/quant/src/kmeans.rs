@@ -1,6 +1,7 @@
 //! Lloyd's k-means with k-means++ seeding and parallel assignment.
 
-use sann_core::distance::l2_squared;
+use sann_core::cast;
+use sann_core::distance::{l2_squared, l2_squared_columns};
 use sann_core::rng::SplitMix64;
 use sann_core::{Dataset, Error, Result};
 
@@ -96,7 +97,6 @@ impl KMeans {
             data.clone()
         };
 
-        let dim = train.dim();
         let mut centroids = kmeanspp_init(&train, self.k, &mut rng);
         let mut assignments = vec![0u32; train.len()];
         for _ in 0..self.max_iters {
@@ -105,7 +105,6 @@ impl KMeans {
             if changed == 0 {
                 break;
             }
-            let _ = dim;
         }
 
         // Final assignment over the full dataset.
@@ -250,8 +249,12 @@ fn kmeanspp_init(data: &Dataset, k: usize, rng: &mut SplitMix64) -> Vec<f32> {
 
 /// Assigns every row to its nearest centroid in parallel; returns the number
 /// of rows whose assignment changed.
+///
+/// The centroids are transposed to dimension-major order once per call (one
+/// Lloyd iteration), so each row is scored against all `k` of them by one
+/// [`l2_squared_columns`] batch.
 fn assign_parallel(data: &Dataset, centroids: &[f32], k: usize, assignments: &mut [u32]) -> usize {
-    let dim = data.dim();
+    let cols = transpose(centroids, k, data.dim());
     let threads = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(4);
@@ -259,22 +262,64 @@ fn assign_parallel(data: &Dataset, centroids: &[f32], k: usize, assignments: &mu
     let changed = std::sync::atomic::AtomicUsize::new(0);
     std::thread::scope(|scope| {
         for (t, out_chunk) in assignments.chunks_mut(chunk).enumerate() {
-            let changed = &changed;
+            let (changed, cols) = (&changed, &cols);
             scope.spawn(move || {
-                let mut local_changed = 0usize;
-                for (i, slot) in out_chunk.iter_mut().enumerate() {
-                    let row = data.row(t * chunk + i);
-                    let best = nearest_centroid(row, centroids, k, dim);
-                    if *slot != best {
-                        *slot = best;
-                        local_changed += 1;
-                    }
-                }
-                changed.fetch_add(local_changed, std::sync::atomic::Ordering::Relaxed);
+                let (mut dists, mut lanes) = (vec![0.0f32; k], vec![0.0f32; 4 * k]);
+                let rows = data.iter().skip(t * chunk);
+                let local = assign_rows(rows, cols, out_chunk, &mut dists, &mut lanes);
+                changed.fetch_add(local, std::sync::atomic::Ordering::Relaxed);
             });
         }
     });
     changed.load(std::sync::atomic::Ordering::Relaxed)
+}
+
+/// Writes the nearest of the `k = dists.len()` dimension-major centroids
+/// `cols` for each row into its `slots` entry; returns how many changed.
+/// Ties go to the lowest centroid id (strict `<` in ascending order).
+fn assign_rows<'a>(
+    rows: impl Iterator<Item = &'a [f32]>,
+    cols: &[f32],
+    slots: &mut [u32],
+    dists: &mut [f32],
+    lanes: &mut [f32],
+) -> usize {
+    let mut changed = 0usize;
+    for (slot, row) in slots.iter_mut().zip(rows) {
+        l2_squared_columns(row, cols, dists.len(), dists, lanes);
+        let best = cast::u32_from_usize(argmin(dists));
+        if *slot != best {
+            *slot = best;
+            changed += 1;
+        }
+    }
+    changed
+}
+
+/// Index of the first minimum of `dists` (strict `<`, ascending), or 0
+/// when every entry is NaN or `dists` is empty.
+pub(crate) fn argmin(dists: &[f32]) -> usize {
+    let mut best = 0usize;
+    let mut best_d = f32::INFINITY;
+    for (c, &d) in dists.iter().enumerate() {
+        if d < best_d {
+            best_d = d;
+            best = c;
+        }
+    }
+    best
+}
+
+/// Transposes `k` row-major `dim`-vectors to dimension-major order:
+/// component `j` of vector `c` moves to `j * k + c`.
+pub(crate) fn transpose(rows: &[f32], k: usize, dim: usize) -> Vec<f32> {
+    let mut cols = vec![0.0f32; rows.len()];
+    for (c, row) in rows.chunks_exact(dim.max(1)).enumerate() {
+        for (j, &x) in row.iter().enumerate() {
+            cols[j * k + c] = x;
+        }
+    }
+    cols
 }
 
 fn recompute_centroids(
@@ -418,6 +463,57 @@ mod tests {
         bytes[n - 4..].copy_from_slice(&99u32.to_le_bytes());
         let mut r = sann_core::buf::ByteReader::new(&bytes, "test");
         assert!(KMeansModel::decode_from(&mut r).is_err());
+    }
+
+    /// `fit`'s Lloyd loop with the row-major assignment it replaced: one
+    /// `l2_squared` per (row, centroid), strict `<` in ascending order.
+    fn fit_row_major(data: &Dataset, k: usize, iters: usize, seed: u64) -> (Vec<f32>, Vec<u32>) {
+        let assign = |centroids: &[f32], assignments: &mut [u32]| {
+            let mut changed = 0;
+            for (slot, row) in assignments.iter_mut().zip(data.iter()) {
+                let best = nearest_centroid(row, centroids, k, data.dim());
+                changed += usize::from(*slot != best);
+                *slot = best;
+            }
+            changed
+        };
+        let mut rng = SplitMix64::new(seed);
+        let mut centroids = kmeanspp_init(data, k, &mut rng);
+        let mut assignments = vec![0u32; data.len()];
+        for _ in 0..iters {
+            let changed = assign(&centroids, &mut assignments);
+            recompute_centroids(data, &assignments, k, &mut centroids, &mut rng);
+            if changed == 0 {
+                break;
+            }
+        }
+        let mut full = vec![0u32; data.len()];
+        assign(&centroids, &mut full);
+        (centroids, full)
+    }
+
+    #[test]
+    fn batch_assignment_matches_row_major_reference() {
+        let spread = sann_datagen::EmbeddingModel::new(19, 6, 3).generate(500);
+        // Small integer coordinates: many exact distance ties.
+        let mut rng = SplitMix64::new(4);
+        let ties = Dataset::from_rows(
+            (0..300)
+                .map(|_| (0..5).map(|_| rng.next_bounded(3) as f32).collect())
+                .collect::<Vec<Vec<f32>>>(),
+        )
+        .unwrap();
+        for (data, k) in [(&spread, 16), (&spread, 3), (&ties, 7)] {
+            let model = KMeans::new(k)
+                .with_seed(9)
+                .with_max_iters(12)
+                .fit(data)
+                .unwrap();
+            let (centroids, assignments) = fit_row_major(data, k, 12, 9);
+            assert_eq!(model.assignments, assignments, "k={k}");
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(model.centroids.as_flat()), bits(&centroids), "k={k}");
+        }
     }
 
     #[test]

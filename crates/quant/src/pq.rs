@@ -9,9 +9,15 @@
 //! DiskANN keeps exactly this representation in memory to rank candidates
 //! while full-precision vectors stay on disk (§II-B of the paper).
 
-use crate::kmeans::KMeans;
-use sann_core::distance::l2_squared;
+use crate::kmeans::{argmin, transpose, KMeans};
+use sann_core::cast;
+use sann_core::distance::l2_squared_columns;
 use sann_core::{Dataset, Error, Result};
+
+/// Largest supported `ksub`: codes are one byte per sub-space. Per-call
+/// kernel buffers are stack arrays of this size, so encoding and ADC tables
+/// allocate nothing beyond their results.
+const MAX_KSUB: usize = 256;
 
 /// A trained product quantizer.
 #[derive(Debug, Clone)]
@@ -20,7 +26,10 @@ pub struct ProductQuantizer {
     m: usize,
     ksub: usize,
     sub_dim: usize,
-    /// `m` codebooks, each `ksub × sub_dim`, flattened.
+    /// `m` codebooks, each `sub_dim × ksub` in dimension-major order
+    /// (component `j` of centroid `c` at `j * ksub + c`), flattened. This is
+    /// the layout [`l2_squared_columns`] scores a sub-vector against in one
+    /// batch; the persisted encoding stays row-major.
     codebooks: Vec<f32>,
 }
 
@@ -43,7 +52,7 @@ impl ProductQuantizer {
                 format!("{m} must be a positive divisor of dim {dim}"),
             ));
         }
-        if ksub == 0 || ksub > 256 {
+        if ksub == 0 || ksub > MAX_KSUB {
             return Err(Error::invalid_parameter("ksub", "must be in 1..=256"));
         }
         if data.len() < ksub {
@@ -67,7 +76,7 @@ impl ProductQuantizer {
                 .with_sample_limit(50_000)
                 .with_max_iters(15)
                 .fit(&subdata)?;
-            codebooks.extend_from_slice(model.centroids.as_flat());
+            codebooks.extend(transpose(model.centroids.as_flat(), ksub, sub_dim));
         }
         Ok(ProductQuantizer {
             dim,
@@ -98,11 +107,6 @@ impl ProductQuantizer {
         self.m
     }
 
-    fn codebook(&self, sub: usize) -> &[f32] {
-        let stride = self.ksub * self.sub_dim;
-        &self.codebooks[sub * stride..(sub + 1) * stride]
-    }
-
     /// Encodes a vector to its `m`-byte code.
     ///
     /// # Panics
@@ -110,22 +114,22 @@ impl ProductQuantizer {
     /// Panics if `v.len() != self.dim()`.
     pub fn encode(&self, v: &[f32]) -> Vec<u8> {
         assert_eq!(v.len(), self.dim, "encode dimension mismatch");
-        let mut code = Vec::with_capacity(self.m);
-        for sub in 0..self.m {
-            let sv = &v[sub * self.sub_dim..(sub + 1) * self.sub_dim];
-            let book = self.codebook(sub);
-            let mut best = 0u8;
-            let mut best_d = f32::INFINITY;
-            for c in 0..self.ksub {
-                let d = l2_squared(sv, &book[c * self.sub_dim..(c + 1) * self.sub_dim]);
-                if d < best_d {
-                    best_d = d;
-                    best = c as u8;
-                }
-            }
-            code.push(best);
-        }
+        let mut code = vec![0u8; self.m];
+        let (mut dists, mut lanes) = ([0.0f32; MAX_KSUB], [0.0f32; 4 * MAX_KSUB]);
+        let (dists, lanes) = (&mut dists[..self.ksub], &mut lanes[..4 * self.ksub]);
+        self.encode_with(v, &mut code, dists, lanes);
         code
+    }
+
+    /// Writes the code of `v` into `code`: per sub-space, the nearest
+    /// centroid (lowest id on ties), scored with one column-kernel batch.
+    /// `dists` (`ksub` long) and `lanes` (`4 * ksub`) are caller buffers.
+    fn encode_with(&self, v: &[f32], code: &mut [u8], dists: &mut [f32], lanes: &mut [f32]) {
+        let books = self.codebooks.chunks_exact(self.ksub * self.sub_dim);
+        for ((slot, sv), book) in code.iter_mut().zip(v.chunks_exact(self.sub_dim)).zip(books) {
+            l2_squared_columns(sv, book, self.ksub, dists, lanes);
+            *slot = cast::u8_from_usize(argmin(dists));
+        }
     }
 
     /// Encodes every row of a dataset, returning a flat `n × m` code matrix.
@@ -139,13 +143,30 @@ impl ProductQuantizer {
         std::thread::scope(|scope| {
             for (t, out) in codes.chunks_mut(chunk_rows * self.m).enumerate() {
                 scope.spawn(move || {
-                    for (i, slot) in out.chunks_mut(self.m).enumerate() {
-                        slot.copy_from_slice(&self.encode(data.row(t * chunk_rows + i)));
+                    let (mut dists, mut lanes) = ([0.0f32; MAX_KSUB], [0.0f32; 4 * MAX_KSUB]);
+                    let (dists, lanes) = (&mut dists[..self.ksub], &mut lanes[..4 * self.ksub]);
+                    let rows = data.iter().skip(t * chunk_rows);
+                    for (slot, row) in out.chunks_mut(self.m).zip(rows) {
+                        self.encode_with(row, slot, dists, lanes);
                     }
                 });
             }
         });
         codes
+    }
+
+    /// Component `j` of centroid `c` in sub-space `sub`.
+    fn centroid_at(&self, sub: usize, c: usize, j: usize) -> f32 {
+        self.codebooks[(sub * self.sub_dim + j) * self.ksub + c]
+    }
+
+    /// The codebooks in row-major order (`m × ksub × sub_dim`), the order
+    /// the persisted encoding uses.
+    fn row_major(&self) -> impl Iterator<Item = f32> + '_ {
+        (0..self.m).flat_map(move |sub| {
+            (0..self.ksub)
+                .flat_map(move |c| (0..self.sub_dim).map(move |j| self.centroid_at(sub, c, j)))
+        })
     }
 
     /// Reconstructs the approximate vector for a code.
@@ -157,19 +178,18 @@ impl ProductQuantizer {
         assert_eq!(code.len(), self.m, "decode length mismatch");
         let mut v = Vec::with_capacity(self.dim);
         for (sub, &c) in code.iter().enumerate() {
-            let book = self.codebook(sub);
-            v.extend_from_slice(&book[c as usize * self.sub_dim..(c as usize + 1) * self.sub_dim]);
+            v.extend((0..self.sub_dim).map(|j| self.centroid_at(sub, usize::from(c), j)));
         }
         v
     }
 
     /// Appends the canonical little-endian encoding of the trained quantizer
-    /// (shape, then the flattened codebooks) to `buf`.
+    /// (shape, then the flattened row-major codebooks) to `buf`.
     pub fn encode_into(&self, buf: &mut sann_core::buf::ByteWriter) {
         buf.put_u32_le(self.dim as u32);
         buf.put_u32_le(self.m as u32);
         buf.put_u32_le(self.ksub as u32);
-        for &x in &self.codebooks {
+        for x in self.row_major() {
             buf.put_f32_le(x);
         }
     }
@@ -184,7 +204,7 @@ impl ProductQuantizer {
         let dim = r.get_u32_le()? as usize;
         let m = r.get_u32_le()? as usize;
         let ksub = r.get_u32_le()? as usize;
-        if m == 0 || dim == 0 || !dim.is_multiple_of(m) || ksub == 0 || ksub > 256 {
+        if m == 0 || dim == 0 || !dim.is_multiple_of(m) || ksub == 0 || ksub > MAX_KSUB {
             return Err(Error::Corrupt("pq: inconsistent shape".into()));
         }
         let sub_dim = dim / m;
@@ -192,10 +212,14 @@ impl ProductQuantizer {
         if r.remaining() < total * 4 {
             return Err(Error::Corrupt("pq: truncated codebooks".into()));
         }
-        let mut codebooks = Vec::with_capacity(total);
+        let mut row_major = Vec::with_capacity(total);
         for _ in 0..total {
-            codebooks.push(r.get_f32_le()?);
+            row_major.push(r.get_f32_le()?);
         }
+        let codebooks = row_major
+            .chunks_exact(ksub * sub_dim)
+            .flat_map(|book| transpose(book, ksub, sub_dim))
+            .collect();
         Ok(ProductQuantizer {
             dim,
             m,
@@ -212,21 +236,23 @@ impl ProductQuantizer {
     /// Panics if `query.len() != self.dim()`.
     pub fn distance_table(&self, query: &[f32]) -> DistanceTable {
         assert_eq!(query.len(), self.dim, "query dimension mismatch");
-        let mut table = Vec::with_capacity(self.m * self.ksub);
-        for sub in 0..self.m {
-            let qv = &query[sub * self.sub_dim..(sub + 1) * self.sub_dim];
-            let book = self.codebook(sub);
-            for c in 0..self.ksub {
-                table.push(l2_squared(
-                    qv,
-                    &book[c * self.sub_dim..(c + 1) * self.sub_dim],
-                ));
-            }
-        }
+        let mut table = vec![0.0f32; self.m * self.ksub];
+        let mut lanes = [0.0f32; 4 * MAX_KSUB];
+        self.fill_table(query, &mut table, &mut lanes[..4 * self.ksub]);
         DistanceTable {
             table,
             m: self.m,
             ksub: self.ksub,
+        }
+    }
+
+    /// Fills the ADC table: row `sub` holds the `ksub` partial distances of
+    /// sub-space `sub`, scored with one column-kernel batch.
+    fn fill_table(&self, query: &[f32], table: &mut [f32], lanes: &mut [f32]) {
+        let books = self.codebooks.chunks_exact(self.ksub * self.sub_dim);
+        let rows = table.chunks_exact_mut(self.ksub);
+        for ((row, qv), book) in rows.zip(query.chunks_exact(self.sub_dim)).zip(books) {
+            l2_squared_columns(qv, book, self.ksub, row, lanes);
         }
     }
 }
@@ -267,6 +293,7 @@ impl DistanceTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sann_core::distance::l2_squared;
     use sann_datagen::EmbeddingModel;
 
     fn train_small() -> (Dataset, ProductQuantizer) {
@@ -382,6 +409,99 @@ mod tests {
         bad[4..8].copy_from_slice(&3u32.to_le_bytes()); // m=3 does not divide dim=32
         let mut r = sann_core::buf::ByteReader::new(&bad, "test");
         assert!(ProductQuantizer::decode_from(&mut r).is_err());
+    }
+
+    #[test]
+    fn batch_paths_match_row_major_reference() {
+        // 32-d with m = 4 (8-d sub-vectors) and 38-d with m = 2 (19-d
+        // sub-vectors, a three-wide kernel tail).
+        let cases = [
+            (EmbeddingModel::new(32, 4, 11).generate(600), 4, 16, 1),
+            (EmbeddingModel::new(38, 4, 12).generate(400), 2, 64, 7),
+        ];
+        for (data, m, ksub, seed) in cases {
+            let pq = ProductQuantizer::train(&data, m, ksub, seed).unwrap();
+            let sub_dim = data.dim() / m;
+            // Row-major codebooks from the same per-sub-space k-means.
+            let books: Vec<Dataset> = (0..m)
+                .map(|sub| {
+                    let mut subdata = Dataset::with_dim(sub_dim);
+                    for row in data.iter() {
+                        subdata
+                            .push(&row[sub * sub_dim..(sub + 1) * sub_dim])
+                            .unwrap();
+                    }
+                    KMeans::new(ksub)
+                        .with_seed(seed + sub as u64)
+                        .with_sample_limit(50_000)
+                        .with_max_iters(15)
+                        .fit(&subdata)
+                        .unwrap()
+                        .centroids
+                })
+                .collect();
+            let mut expect = sann_core::buf::ByteWriter::new();
+            for x in [data.dim(), m, ksub] {
+                expect.put_u32_le(x as u32);
+            }
+            for x in books.iter().flat_map(|b| b.as_flat()) {
+                expect.put_f32_le(*x);
+            }
+            let mut got = sann_core::buf::ByteWriter::new();
+            pq.encode_into(&mut got);
+            assert_eq!(got.into_bytes(), expect.into_bytes(), "codebooks");
+
+            let codes = pq.encode_all(&data);
+            for (i, row) in data.iter().enumerate() {
+                for (sub, book) in books.iter().enumerate() {
+                    let sv = &row[sub * sub_dim..(sub + 1) * sub_dim];
+                    let mut best = (0, f32::INFINITY);
+                    for (c, centroid) in book.iter().enumerate() {
+                        let d = l2_squared(sv, centroid);
+                        if d < best.1 {
+                            best = (c, d);
+                        }
+                    }
+                    assert_eq!(usize::from(codes[i * m + sub]), best.0, "row {i} sub {sub}");
+                }
+            }
+
+            for q in data.iter().step_by(37) {
+                let table = pq.distance_table(q);
+                for (sub, book) in books.iter().enumerate() {
+                    let qv = &q[sub * sub_dim..(sub + 1) * sub_dim];
+                    for (c, centroid) in book.iter().enumerate() {
+                        assert_eq!(
+                            table.table[sub * ksub + c].to_bits(),
+                            l2_squared(qv, centroid).to_bits()
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn decode_reconstructs_row_major_centroids() {
+        let (data, pq) = train_small();
+        let code = pq.encode(data.row(3));
+        let mut w = sann_core::buf::ByteWriter::new();
+        pq.encode_into(&mut w);
+        let bytes = w.into_bytes();
+        let floats: Vec<f32> = bytes[12..]
+            .chunks_exact(4)
+            .map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+            .collect();
+        let sub_dim = pq.dim() / pq.m();
+        let expect: Vec<f32> = code
+            .iter()
+            .enumerate()
+            .flat_map(|(sub, &c)| {
+                let start = (sub * pq.ksub() + usize::from(c)) * sub_dim;
+                floats[start..start + sub_dim].to_vec()
+            })
+            .collect();
+        assert_eq!(pq.decode(&code), expect);
     }
 
     #[test]

@@ -34,6 +34,11 @@ cargo test -q -p sann-engine --test trace_golden
 echo "==> fault-injection histogram golden files"
 cargo test -q -p sann-engine --test fault_golden
 
+echo "==> build-artifact digest golden"
+# Every setup's persisted index over one fixed dataset must hash to the
+# recorded digests: kernel, k-means or PQ bit drift fails here.
+cargo test -q --test artifact_digest
+
 echo "==> observability overhead gate (BENCH_obs.json)"
 # Asserts span tracing at level `run` and provenance tagging each cost
 # < 2% over the untraced/untagged hot loop, and archives the measured
